@@ -118,6 +118,7 @@ def slms(
         )
         result.unroll = max(result.unroll, options.reduction_lanes)
         result.lanes = options.reduction_lanes
+        result.lane_origins = {lane: info.var for lane in split.lane_names}
         return result
 
     tracer = get_tracer()
@@ -141,10 +142,13 @@ def slms(
                     from repro.verify.ir_check import check_result
                     from repro.verify.schedule import validate_result
 
-                    result.diagnostics.extend(
-                        validate_result(result, stmt).diagnostics
-                    )
-                    result.diagnostics.extend(check_result(result, stmt))
+                    # Its own span, so phase.transform's self time is
+                    # SLMS alone.
+                    with tracer.span("phase.validate"):
+                        result.diagnostics.extend(
+                            validate_result(result, stmt).diagnostics
+                        )
+                        result.diagnostics.extend(check_result(result, stmt))
                 reports.append(result)
                 if result.applied:
                     out.extend(result.new_decls)

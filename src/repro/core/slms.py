@@ -137,6 +137,9 @@ class SLMSResult:
     # Reduction lanes used (≥ 2 when §5 lane splitting rewrote the loop
     # header; the schedule validator skips such results).
     lanes: int = 0
+    # Lane provenance of a §5 split: lane scalar -> the reduction scalar
+    # it accumulates (the emitted combine after the loop redefines it).
+    lane_origins: Dict[str, str] = field(default_factory=dict)
     # Validator findings, populated when SLMSOptions.verify is set.
     diagnostics: List = field(default_factory=list)
     # Expansion rename provenance: fresh name -> the MI scalar it

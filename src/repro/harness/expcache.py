@@ -45,15 +45,12 @@ misses — caching is an optimization, never a correctness dependency.
 
 from __future__ import annotations
 
-import atexit
 import dataclasses
 import hashlib
 import json
 import os
 import pickle
-import queue
 import tempfile
-import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
@@ -333,7 +330,7 @@ class ExperimentCache:
         totals = self.lifetime_counters()
         for name in self.COUNTER_NAMES:
             totals[name] += delta[name]
-        if not _write_json_atomic(self.dir, self._counters_path, totals):
+        if not _write_json_atomic(self._counters_path, totals):
             return
         self._flushed = dict(session)
 
@@ -396,7 +393,7 @@ class ExperimentCache:
 
     def put(self, key: str, result: "ExperimentResult") -> bool:
         path = self._path(key)
-        return _write_json_atomic(path.parent, path, result.to_dict())
+        return _write_json_atomic(path, result.to_dict())
 
     # -- maintenance ---------------------------------------------------
     def entries(self) -> list:
@@ -449,15 +446,15 @@ class ExperimentCache:
         return removed
 
 
-def _write_json_atomic(parent: Path, path: Path, payload: Any) -> bool:
+def _write_atomic(path: Path, data: bytes) -> bool:
+    """Write ``data`` through a temp file and ``os.replace``: a reader
+    sees the old entry or the whole new one, never a torn write."""
     try:
-        parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=parent, prefix=".tmp-", suffix=".json"
-        )
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=path.suffix)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -468,6 +465,10 @@ def _write_json_atomic(parent: Path, path: Path, payload: Any) -> bool:
     except OSError:
         return False  # read-only cache dir etc.: silently skip
     return True
+
+
+def _write_json_atomic(path: Path, payload: Any) -> bool:
+    return _write_atomic(path, json.dumps(payload).encode("utf-8"))
 
 
 class PhaseCache:
@@ -503,11 +504,6 @@ class PhaseCache:
             tier: {"hits": 0, "misses": 0, "evictions": 0}
             for tier in self.TIERS
         }
-        # Disk writes run on a lazily started daemon thread (see
-        # :meth:`put`); ``drain`` is the barrier that makes them
-        # visible to on-disk readers.
-        self._write_queue: "queue.Queue[Tuple[Path, bytes]]" = queue.Queue()
-        self._writer: Optional[threading.Thread] = None
 
     @classmethod
     def shared(cls, cache_dir: Optional[str | Path] = None) -> "PhaseCache":
@@ -545,60 +541,20 @@ class PhaseCache:
         return value
 
     def put(self, tier: str, key: str, value: Any) -> bool:
-        """Store ``value``; the disk write completes asynchronously.
+        """Store ``value`` in the memory tier and on disk.
 
         The value is pickled *here* (so later mutation by the caller
-        cannot corrupt the entry) and becomes visible to in-process
-        readers immediately through the memory tier; only the file I/O
-        (mkdir, temp file, atomic rename) is deferred to the writer
-        thread.  :meth:`drain` — called by :meth:`stats`,
-        :meth:`clear` and at interpreter exit — is the barrier that
-        guarantees the entry is on disk.
+        cannot corrupt the entry) and written atomically before ``put``
+        returns, so every reader of the directory — another instance,
+        another process — sees it from then on.
         """
         self._remember((tier, key), value)
         try:
             data = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
         except (pickle.PicklingError, TypeError):
             return False
-        self._enqueue_write(self._path(tier, key), data)
+        _write_atomic(self._path(tier, key), data)
         return True
-
-    def _enqueue_write(self, path: Path, data: bytes) -> None:
-        if self._writer is None or not self._writer.is_alive():
-            self._writer = threading.Thread(
-                target=self._write_loop, daemon=True, name="slms-cache-writer"
-            )
-            self._writer.start()
-            atexit.register(self.drain)
-        self._write_queue.put((path, data))
-
-    def _write_loop(self) -> None:
-        while True:
-            path, data = self._write_queue.get()
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(
-                    dir=path.parent, prefix=".tmp-", suffix=".pkl"
-                )
-                try:
-                    with os.fdopen(fd, "wb") as handle:
-                        handle.write(data)
-                    os.replace(tmp, path)
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
-            except OSError:
-                pass  # read-only cache dir etc.: degrade to a miss
-            finally:
-                self._write_queue.task_done()
-
-    def drain(self) -> None:
-        """Block until every enqueued disk write has completed."""
-        if self._writer is not None and self._writer.is_alive():
-            self._write_queue.join()
 
     def _remember(self, mem_key: Tuple[str, str], value: Any) -> None:
         self._memory[mem_key] = value
@@ -658,7 +614,7 @@ class PhaseCache:
                 totals[tier][name] += (
                     session[tier][name] - self._flushed[tier][name]
                 )
-        if not _write_json_atomic(self.dir, self._counters_path, totals):
+        if not _write_json_atomic(self._counters_path, totals):
             return
         self._flushed = {tier: dict(rec) for tier, rec in session.items()}
 
@@ -676,7 +632,6 @@ class PhaseCache:
         return sorted(root.glob("[0-9a-f][0-9a-f]/*.pkl.corrupt"))
 
     def stats(self) -> Dict[str, Any]:
-        self.drain()
         lifetime = self.lifetime_counters()
         tiers: Dict[str, Any] = {}
         for tier in self.TIERS:
@@ -696,7 +651,6 @@ class PhaseCache:
 
     def clear(self, tiers: Optional[List[str]] = None) -> int:
         """Remove entries for ``tiers`` (default: all); returns count."""
-        self.drain()  # a write landing after the clear would resurrect
         removed = 0
         for tier in tiers if tiers is not None else self.TIERS:
             if tier not in self.TIERS:

@@ -7,6 +7,8 @@ rewriters every SLMS pass needs:
 * :func:`substitute_index` — replace a loop index ``i`` with ``i + k``
   (the core of kernel/prologue/epilogue generation), folding constants
   so ``A[i + 2 - 2]`` prints as ``A[i]``;
+* :func:`substitution_template` — the shape a loop-index substitution
+  has for every index value (the schedule validator's row templates);
 * :func:`rename_scalar` — variable renaming for MVE and multi-def
   scalar renaming;
 * def/use sets and operation counting for the dependence analysis and
@@ -22,7 +24,9 @@ from repro.lang.ast_nodes import (
     ArrayRef,
     Assign,
     BinOp,
+    Break,
     Call,
+    Continue,
     Decl,
     Expr,
     ExprStmt,
@@ -216,15 +220,8 @@ class _IndexSubstituter(NodeTransformer):
         return node.clone()
 
 
-def _fold_binop(
-    op: str, left: Expr, right: Expr, loc, orig: Optional[BinOp] = None
-) -> Expr:
-    """Fold a binary node whose children are *already folded*.
-
-    When ``orig`` is given and no rule fires on unchanged children, the
-    original node is returned instead of an identical rebuild (see the
-    ``reuse`` mode of the rewriters below).
-    """
+def _fold_binop(op: str, left: Expr, right: Expr, loc) -> Expr:
+    """Fold a binary node whose children are *already folded*."""
     if isinstance(left, IntLit) and isinstance(right, IntLit):
         if op == "+":
             return IntLit(left.value + right.value, loc)
@@ -252,81 +249,42 @@ def _fold_binop(
         return left
     if op == "+" and isinstance(left, IntLit) and left.value == 0:
         return right
-    if orig is not None and left is orig.left and right is orig.right:
-        return orig
     return BinOp(op, left, right, loc)
 
 
-def _fold(expr: Expr, reuse: bool = False) -> Expr:
-    """Constant-fold integer +/-/* so shifted indices stay readable.
-
-    With ``reuse`` the pass returns the *original* subtree object
-    wherever nothing folded — the output then shares interior nodes
-    (not just leaves) with the input.  Callers that treat both trees as
-    read-only (the schedule validator) opt in to make repeated
-    canonicalization of shared subtrees O(1); everyone else keeps the
-    rebuild-always behaviour.
-    """
+def _fold(expr: Expr) -> Expr:
+    """Constant-fold integer +/-/* so shifted indices stay readable."""
     if isinstance(expr, BinOp):
-        return _fold_binop(
-            expr.op,
-            _fold(expr.left, reuse),
-            _fold(expr.right, reuse),
-            expr.loc,
-            expr if reuse else None,
-        )
+        return _fold_binop(expr.op, _fold(expr.left), _fold(expr.right), expr.loc)
     if isinstance(expr, (Var, IntLit, FloatLit)):
         return expr
     if isinstance(expr, ArrayRef):
-        indices = [_fold(i, reuse) for i in expr.indices]
-        if reuse and all(n is o for n, o in zip(indices, expr.indices)):
-            return expr
-        return ArrayRef(expr.name, indices, expr.loc)
+        return ArrayRef(expr.name, [_fold(i) for i in expr.indices], expr.loc)
     if isinstance(expr, UnaryOp):
-        inner = _fold(expr.operand, reuse)
+        inner = _fold(expr.operand)
         if expr.op == "-" and isinstance(inner, IntLit):
             return IntLit(-inner.value, expr.loc)
-        if reuse and inner is expr.operand:
-            return expr
         return UnaryOp(expr.op, inner, expr.loc)
     if isinstance(expr, Ternary):
-        cond = _fold(expr.cond, reuse)
-        then = _fold(expr.then, reuse)
-        els = _fold(expr.els, reuse)
-        if reuse and cond is expr.cond and then is expr.then and els is expr.els:
-            return expr
-        return Ternary(cond, then, els, expr.loc)
+        return Ternary(_fold(expr.cond), _fold(expr.then), _fold(expr.els), expr.loc)
     if isinstance(expr, Call):
-        args = [_fold(a, reuse) for a in expr.args]
-        if reuse and all(n is o for n, o in zip(args, expr.args)):
-            return expr
-        return Call(expr.name, args, expr.loc)
+        return Call(expr.name, [_fold(a) for a in expr.args], expr.loc)
     return expr
 
 
 class _Folder(NodeTransformer):
-    def __init__(self, reuse: bool = False):
-        self.reuse = reuse
-
     def visit(self, node: Node) -> Node:
         if isinstance(node, Expr):
-            return _fold(node, self.reuse)
+            return _fold(node)
         return self.generic_visit(node)
 
 
-def fold_constants(node: Node, reuse: bool = False) -> Node:
-    """Return a copy with integer constant arithmetic folded.
-
-    ``reuse`` opts in to sharing unchanged *interior* nodes with the
-    input (see :func:`_fold`); only safe when the caller never mutates
-    either tree.
-    """
-    return _Folder(reuse).visit(node)
+def fold_constants(node: Node) -> Node:
+    """Return a copy with integer constant arithmetic folded."""
+    return _Folder().visit(node)
 
 
-def _subst_fold(
-    expr: Expr, var: str, replacement: Expr, reuse: bool = False
-) -> Expr:
+def _subst_fold(expr: Expr, var: str, replacement: Expr) -> Expr:
     """``_fold`` of the ``var`` → ``replacement`` substitution of
     ``expr``, in a single bottom-up pass.
 
@@ -335,8 +293,7 @@ def _subst_fold(
     substitution only touches ``Var`` leaves and ``_fold`` is bottom-up,
     so folding substituted children before the parent is the same tree
     the two-pass pipeline builds.  Like ``_fold``, untouched leaves are
-    shared with the input, never mutated; with ``reuse``, untouched
-    interior nodes are shared too (read-only callers only).
+    shared with the input, never mutated.
     """
     if isinstance(expr, Var):
         return _fold(replacement.clone()) if expr.name == var else expr
@@ -345,47 +302,41 @@ def _subst_fold(
     if isinstance(expr, BinOp):
         return _fold_binop(
             expr.op,
-            _subst_fold(expr.left, var, replacement, reuse),
-            _subst_fold(expr.right, var, replacement, reuse),
+            _subst_fold(expr.left, var, replacement),
+            _subst_fold(expr.right, var, replacement),
             expr.loc,
-            expr if reuse else None,
         )
     if isinstance(expr, ArrayRef):
-        indices = [_subst_fold(i, var, replacement, reuse) for i in expr.indices]
-        if reuse and all(n is o for n, o in zip(indices, expr.indices)):
-            return expr
-        return ArrayRef(expr.name, indices, expr.loc)
+        return ArrayRef(
+            expr.name, [_subst_fold(i, var, replacement) for i in expr.indices], expr.loc
+        )
     if isinstance(expr, UnaryOp):
-        inner = _subst_fold(expr.operand, var, replacement, reuse)
+        inner = _subst_fold(expr.operand, var, replacement)
         if expr.op == "-" and isinstance(inner, IntLit):
             return IntLit(-inner.value, expr.loc)
-        if reuse and inner is expr.operand:
-            return expr
         return UnaryOp(expr.op, inner, expr.loc)
     if isinstance(expr, Ternary):
-        cond = _subst_fold(expr.cond, var, replacement, reuse)
-        then = _subst_fold(expr.then, var, replacement, reuse)
-        els = _subst_fold(expr.els, var, replacement, reuse)
-        if reuse and cond is expr.cond and then is expr.then and els is expr.els:
-            return expr
-        return Ternary(cond, then, els, expr.loc)
+        return Ternary(
+            _subst_fold(expr.cond, var, replacement),
+            _subst_fold(expr.then, var, replacement),
+            _subst_fold(expr.els, var, replacement),
+            expr.loc,
+        )
     if isinstance(expr, Call):
-        args = [_subst_fold(a, var, replacement, reuse) for a in expr.args]
-        if reuse and all(n is o for n, o in zip(args, expr.args)):
-            return expr
-        return Call(expr.name, args, expr.loc)
+        return Call(
+            expr.name, [_subst_fold(a, var, replacement) for a in expr.args], expr.loc
+        )
     return expr
 
 
 class _SubstFolder(NodeTransformer):
-    def __init__(self, var: str, replacement: Expr, reuse: bool = False):
+    def __init__(self, var: str, replacement: Expr):
         self.var = var
         self.replacement = replacement
-        self.reuse = reuse
 
     def visit(self, node: Node) -> Node:
         if isinstance(node, Expr):
-            return _subst_fold(node, self.var, self.replacement, self.reuse)
+            return _subst_fold(node, self.var, self.replacement)
         return self.generic_visit(node)
 
 
@@ -405,16 +356,134 @@ def substitute_index(node: Node, var: str, offset: int) -> Node:
     return _SubstFolder(var, replacement).visit(node)
 
 
-def substitute_expr(
-    node: Node, var: str, replacement: Expr, reuse: bool = False
-) -> Node:
+def substitute_expr(node: Node, var: str, replacement: Expr) -> Node:
     """Return a copy with every ``Var(var)`` replaced by ``replacement``,
-    folding constants as it rebuilds (one fused pass).
+    folding constants as it rebuilds (one fused pass)."""
+    return _SubstFolder(var, replacement).visit(node)
 
-    ``reuse`` opts in to sharing unchanged interior nodes with the
-    input (see :func:`_fold`); only safe for read-only callers.
+
+class AffineLeaf(IntLit):
+    """An integer leaf ``a·v + b`` of a :func:`substitution_template`.
+
+    ``value`` holds the leaf at the instance last set with :meth:`at`,
+    so the template reads like the folded tree of that instance.
     """
-    return _SubstFolder(var, replacement, reuse).visit(node)
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        super().__init__(b)
+        self.a = a
+        self.b = b
+
+    def at(self, v: int) -> None:
+        self.value = self.a * v + self.b
+
+
+class _NoTemplate(Exception):
+    """The folded shape depends on the substituted value."""
+
+
+def substitution_template(node: Node, var: Optional[str]) -> Optional[Node]:
+    """The tree shape ``substitute_expr(node, var, IntLit(v))`` has for
+    every integer ``v``, or ``None`` when no single shape exists.
+
+    Every maximal subtree that is integer ``+ - *`` / unary ``-`` over
+    ``var`` and literals folds to one ``IntLit``; when it is affine in
+    ``var`` (and not constant) it becomes an :class:`AffineLeaf`.  The
+    shape is value-independent unless such a leaf sits under a ``+``/``-``
+    node (the other operand is then not a literal, and the zero and
+    reassociation rules of :func:`_fold_binop` inspect the leaf's value)
+    or is not affine (``i * i``); both give ``None``, as do loops and
+    declarations.  With ``var`` ``None`` the template is
+    ``fold_constants(node)``.
+    """
+    try:
+        return _template(node, var)
+    except _NoTemplate:
+        return None
+
+
+def _template(node: Node, var: Optional[str]) -> Node:
+    if isinstance(node, Expr):
+        return _template_leaf(_template_expr(node, var))
+    if isinstance(node, Assign):
+        return Assign(
+            _template(node.target, var), _template(node.value, var), node.op, node.loc
+        )
+    if isinstance(node, ExprStmt):
+        return ExprStmt(_template(node.expr, var), node.loc)
+    if isinstance(node, If):
+        return If(
+            _template(node.cond, var),
+            [_template(s, var) for s in node.then],
+            [_template(s, var) for s in node.els],
+            node.loc,
+        )
+    if isinstance(node, ParGroup):
+        return ParGroup([_template(s, var) for s in node.stmts], node.loc)
+    if isinstance(node, (Break, Continue)):
+        return node
+    raise _NoTemplate
+
+
+def _template_leaf(folded) -> Expr:
+    if isinstance(folded, tuple):
+        a, b = folded
+        return AffineLeaf(a, b) if a else IntLit(b)
+    return folded
+
+
+def _template_expr(expr: Expr, var: Optional[str]):
+    """:func:`_subst_fold` over a symbolic ``var``: ``(a, b)`` for an
+    integer subtree worth ``a·var + b``, else the folded node."""
+    if isinstance(expr, Var):
+        return (1, 0) if expr.name == var else expr
+    if isinstance(expr, IntLit):
+        return (0, expr.value)
+    if isinstance(expr, BinOp):
+        left = _template_expr(expr.left, var)
+        right = _template_expr(expr.right, var)
+        if isinstance(left, tuple) and isinstance(right, tuple) and expr.op in ("+", "-", "*"):
+            (a1, b1), (a2, b2) = left, right
+            if expr.op == "+":
+                return (a1 + a2, b1 + b2)
+            if expr.op == "-":
+                return (a1 - a2, b1 - b2)
+            if a1 and a2:
+                raise _NoTemplate
+            return (a1 * b2 + a2 * b1, b1 * b2)
+        left, right = _template_leaf(left), _template_leaf(right)
+        if expr.op in ("+", "-") and (
+            isinstance(left, AffineLeaf) or isinstance(right, AffineLeaf)
+        ):
+            raise _NoTemplate
+        return _fold_binop(expr.op, left, right, expr.loc)
+    if isinstance(expr, UnaryOp):
+        inner = _template_expr(expr.operand, var)
+        if expr.op == "-" and isinstance(inner, tuple):
+            return (-inner[0], -inner[1])
+        return UnaryOp(expr.op, _template_leaf(inner), expr.loc)
+    if isinstance(expr, ArrayRef):
+        return ArrayRef(
+            expr.name,
+            [_template_leaf(_template_expr(i, var)) for i in expr.indices],
+            expr.loc,
+        )
+    if isinstance(expr, Ternary):
+        return Ternary(
+            _template_leaf(_template_expr(expr.cond, var)),
+            _template_leaf(_template_expr(expr.then, var)),
+            _template_leaf(_template_expr(expr.els, var)),
+            expr.loc,
+        )
+    if isinstance(expr, Call):
+        return Call(
+            expr.name,
+            [_template_leaf(_template_expr(a, var)) for a in expr.args],
+            expr.loc,
+        )
+    return expr
 
 
 class _ScalarRenamer(NodeTransformer):

@@ -7,7 +7,9 @@ than as a downstream miscompare:
 * **AST → MI partition** (:func:`check_partition`, V210) — the MI list
   must be flat (pure assignments), preserve the loop body's set of
   array stores and scalar definitions, and keep every renamed
-  multi-definition web's *final* definition on the original name.
+  multi-definition web's *final* definition on the original name (a §5
+  reduction-lane split instead defines every lane in an MI and
+  redefines the scalar in the emitted combine).
 * **Post-SLMS kernel** (:func:`check_kernel`, V211) — every scalar the
   transformation *introduced* (predicates, renamed webs, decomposition
   temporaries, MVE rotation names) must be defined before its first use
@@ -168,11 +170,35 @@ def check_partition(result, loop: For) -> List[Diagnostic]:
     hoisted = {d.name for d in partition.hoisted_decls}
     body_defs = _defined(loop.body) | hoisted
     mi_defs = _defined(partition.mis)
-    for name in sorted(body_defs - mi_defs):
+    # A §5 lane split moves a reduction scalar's definitions onto its
+    # lanes: every lane must be defined by an MI, and the emitted
+    # combine after the loop must redefine the scalar from all of them.
+    lane_origins = getattr(result, "lane_origins", {}) or {}
+    split = set(lane_origins.values())
+    for name in sorted(body_defs - mi_defs - split):
         bag.error(
             "V210", loc,
             f"scalar {name!r} is defined by the loop body but by no MI",
         )
+    for lane, original in sorted(lane_origins.items()):
+        if lane not in mi_defs:
+            bag.error(
+                "V210", loc,
+                f"reduction lane {lane!r} of {original!r} is defined by no MI",
+            )
+    for original in sorted(split):
+        lanes = {lane for lane, o in lane_origins.items() if o == original}
+        if not any(
+            isinstance(stmt, Assign)
+            and isinstance(stmt.target, Var)
+            and stmt.target.name == original
+            and lanes <= used_scalars(stmt)
+            for stmt in result.stmts
+        ):
+            bag.error(
+                "V210", loc,
+                f"no emitted statement combines the lanes of {original!r}",
+            )
     for original, web in partition.renamed.items():
         if original not in mi_defs:
             bag.error(

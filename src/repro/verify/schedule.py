@@ -46,12 +46,21 @@ Then:
 Result shapes the replay cannot decide (symbolic bounds behind a
 runtime guard, reduction-lane splits whose header was rewritten) are
 skipped with an ``N208`` note, never a false error.
+
+The replay runs over **row templates**: each MI and each emitted
+statement is substituted and folded once per loop, with an
+:class:`~repro.lang.visitors.AffineLeaf` for every leaf that depends on
+the loop variable, so an instance is a template plus one integer.  A
+loop with a statement that has no template (its folded shape depends on
+the loop variable's value) runs the tree replay instead, which builds
+every instance as its own tree; it is the reference the template replay
+must match report for report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.ddg import DependenceGraph, build_ddg
 from repro.analysis.loopinfo import LoopInfo
@@ -76,7 +85,14 @@ from repro.lang.ast_nodes import (
     Var,
     While,
 )
-from repro.lang.visitors import collect_vars, fold_constants, substitute_expr, walk
+from repro.lang.visitors import (
+    AffineLeaf,
+    collect_vars,
+    fold_constants,
+    substitute_expr,
+    substitution_template,
+    walk,
+)
 from repro.verify.diagnostics import Diagnostic, DiagnosticBag, has_errors
 
 # Flattening budgets: far above anything the corpus produces (the
@@ -98,6 +114,10 @@ class ValidationReport:
     events: int = 0
     matched: int = 0
     structural: bool = False  # did the layer-2 replay run?
+    # Which layer-2 replay ran: "template" (row templates), "tree" (the
+    # reference, for loops with a statement that has no row template)
+    # or "none".
+    replay: str = "none"
 
     @property
     def ok(self) -> bool:
@@ -162,16 +182,22 @@ class _FlattenBailout(Exception):
         super().__init__(reason)
 
 
-def _flatten(stmts: List[Stmt], var: str, env: Dict[str, int], out: List[Stmt]) -> None:
+def _flatten(
+    stmts: List[Stmt],
+    var: str,
+    env: Dict[str, int],
+    out: List,
+    event: Callable[[Stmt, Dict[str, int]], object],
+) -> None:
     """Unroll the emitted statement list into concrete statement events.
 
     Assignments to the loop variable are bookkeeping (they advance
-    ``env``); everything else is emitted with the loop variable folded
-    to its current value.
+    ``env``); every other statement becomes ``event(stmt, env)`` — the
+    statement with the loop variable at its current value.
     """
     for stmt in stmts:
         if isinstance(stmt, ParGroup):
-            _flatten(stmt.stmts, var, env, out)
+            _flatten(stmt.stmts, var, env, out, event)
         elif isinstance(stmt, Decl):
             continue  # hoisted declarations carry no schedule content
         elif isinstance(stmt, Assign) and isinstance(stmt.target, Var) and stmt.target.name == var:
@@ -198,27 +224,18 @@ def _flatten(stmts: List[Stmt], var: str, env: Dict[str, int], out: List[Stmt]) 
                 iters += 1
                 if iters > _MAX_LOOP_ITERS:
                     raise _FlattenBailout("flattening iteration budget exceeded")
-                _flatten(stmt.body, var, env, out)
+                _flatten(stmt.body, var, env, out, event)
                 if stmt.step is not None:
-                    _flatten([stmt.step], var, env, out)
+                    _flatten([stmt.step], var, env, out, event)
         elif isinstance(stmt, If):
             cond = _eval_int(stmt.cond, env)
             if cond is None:
                 raise _FlattenBailout("emitted guard condition is not static")
-            _flatten(stmt.then if cond else stmt.els, var, env, out)
+            _flatten(stmt.then if cond else stmt.els, var, env, out, event)
         elif isinstance(stmt, While):
             raise _FlattenBailout("emitted while loop cannot be replayed")
         else:
-            if var in env:
-                # The rewriters never mutate their input, and with
-                # ``reuse`` the event shares unchanged interior nodes
-                # with the emitted statement — safe because replay
-                # treats every tree as read-only, and it makes the
-                # canonical-key memo hit across iterations.
-                event = substitute_expr(stmt, var, IntLit(env[var]), reuse=True)
-            else:
-                event = fold_constants(stmt, reuse=True)
-            out.append(event)  # type: ignore[arg-type]
+            out.append(event(stmt, env))
             if len(out) > _MAX_EVENTS:
                 raise _FlattenBailout("flattening event budget exceeded")
 
@@ -231,75 +248,55 @@ def _flatten(stmts: List[Stmt], var: str, env: Dict[str, int], out: List[Stmt]) 
 def _canon(
     node: Node,
     wildcard_arrays: Set[str],
-    memo: Optional[Dict[int, object]] = None,
+    slots: Optional[List[IntLit]] = None,
 ) -> object:
     """Rename-insensitive structural key: scalars (and renamed arrays)
     collapse to a wildcard; literals, operators, and original array
     names stay, which is where the matching selectivity comes from.
 
-    ``memo`` maps ``id(node)`` to its key.  The rewriters share
-    unchanged subtrees between instances, so one matching session
-    canonicalizes the same subtree objects many times over; a shared
-    memo turns those into O(1) lookups.  Only valid while every
-    canonicalized root stays referenced (ids must not be recycled) —
-    callers keep instances/events alive for the whole session.
+    With ``slots`` every integer literal keys as ``"#"`` and is appended
+    to ``slots`` instead: the shape key of a row template.  Two trees
+    have equal keys exactly when their shape keys are equal and their
+    slot values are equal, position by position.
     """
-    if memo is not None:
-        hit = memo.get(id(node))
-        if hit is not None:
-            return hit
-        res = _canon_compute(node, wildcard_arrays, memo)
-        memo[id(node)] = res
-        return res
-    return _canon_compute(node, wildcard_arrays, None)
 
+    def sub(child: Node) -> object:
+        return _canon(child, wildcard_arrays, slots)
 
-def _canon_compute(
-    node: Node,
-    wildcard_arrays: Set[str],
-    memo: Optional[Dict[int, object]],
-) -> object:
     if isinstance(node, Var):
         return "□"
     if isinstance(node, IntLit):
+        if slots is not None:
+            slots.append(node)
+            return "#"
         return ("i", node.value)
     if isinstance(node, FloatLit):
         return ("f", repr(node.value))
     if isinstance(node, ArrayRef):
         if node.name in wildcard_arrays:
             return "□"
-        return ("ref", node.name, tuple(_canon(i, wildcard_arrays, memo) for i in node.indices))
+        return ("ref", node.name, tuple(sub(i) for i in node.indices))
     if isinstance(node, BinOp):
-        return ("b", node.op, _canon(node.left, wildcard_arrays, memo), _canon(node.right, wildcard_arrays, memo))
+        return ("b", node.op, sub(node.left), sub(node.right))
     if isinstance(node, UnaryOp):
-        return ("u", node.op, _canon(node.operand, wildcard_arrays, memo))
+        return ("u", node.op, sub(node.operand))
     if isinstance(node, Ternary):
-        return (
-            "t",
-            _canon(node.cond, wildcard_arrays, memo),
-            _canon(node.then, wildcard_arrays, memo),
-            _canon(node.els, wildcard_arrays, memo),
-        )
+        return ("t", sub(node.cond), sub(node.then), sub(node.els))
     if isinstance(node, Call):
-        return ("call", node.name, tuple(_canon(a, wildcard_arrays, memo) for a in node.args))
+        return ("call", node.name, tuple(sub(a) for a in node.args))
     if isinstance(node, Assign):
-        return (
-            "=",
-            node.op,
-            _canon(node.target, wildcard_arrays, memo),
-            _canon(node.value, wildcard_arrays, memo),
-        )
+        return ("=", node.op, sub(node.target), sub(node.value))
     if isinstance(node, If):
         return (
             "if",
-            _canon(node.cond, wildcard_arrays, memo),
-            tuple(_canon(s, wildcard_arrays, memo) for s in node.then),
-            tuple(_canon(s, wildcard_arrays, memo) for s in node.els),
+            sub(node.cond),
+            tuple(sub(s) for s in node.then),
+            tuple(sub(s) for s in node.els),
         )
     if isinstance(node, ExprStmt):
-        return ("e", _canon(node.expr, wildcard_arrays, memo))
+        return ("e", sub(node.expr))
     if isinstance(node, ParGroup):
-        return ("par", tuple(_canon(s, wildcard_arrays, memo) for s in node.stmts))
+        return ("par", tuple(sub(s) for s in node.stmts))
     return ("?", type(node).__name__)
 
 
@@ -312,10 +309,19 @@ Location = Tuple
 
 @dataclass
 class _Bindings:
-    """Scalar occurrences of one matched statement instance."""
+    """Scalar occurrences of one matched statement instance: each
+    pattern scalar with the emitted node that stands for it (a scalar,
+    or an element of a scalar-expansion array)."""
 
-    uses: List[Tuple[str, Location]] = field(default_factory=list)
-    defs: List[Tuple[str, Location]] = field(default_factory=list)
+    uses: List[Tuple[str, Expr]] = field(default_factory=list)
+    defs: List[Tuple[str, Expr]] = field(default_factory=list)
+
+    def located(self) -> Tuple[List[Tuple[str, Location]], List[Tuple[str, Location]]]:
+        """The uses and defs with each node resolved to its location."""
+        return (
+            [(name, _event_location(node)) for name, node in self.uses],
+            [(name, _event_location(node)) for name, node in self.defs],
+        )
 
 
 def _event_location(node: Expr) -> Optional[Location]:
@@ -364,22 +370,19 @@ def _unify(
     """
     origins = origins or {}
     if isinstance(pat, Var):
-        if isinstance(ev, Var) and (
-            ev.name == pat.name
-            or (
-                ev.name in rename_scalars
+        if isinstance(ev, Var):
+            ok = ev.name == pat.name or (
+                ev.name in rename_scalars and _rename_admits(ev.name, pat.name, origins)
+            )
+        else:
+            ok = (
+                isinstance(ev, ArrayRef)
+                and ev.name in rename_arrays
                 and _rename_admits(ev.name, pat.name, origins)
             )
-        ):
-            loc = _event_location(ev)
-        elif isinstance(ev, ArrayRef) and ev.name in rename_arrays and (
-            _rename_admits(ev.name, pat.name, origins)
-        ):
-            loc = _event_location(ev)
-        else:
+        if not ok:
             return False
-        assert loc is not None
-        (bindings.defs if role == "def" else bindings.uses).append((pat.name, loc))
+        (bindings.defs if role == "def" else bindings.uses).append((pat.name, ev))
         return True
     if isinstance(pat, IntLit):
         return isinstance(ev, IntLit) and ev.value == pat.value
@@ -547,6 +550,15 @@ def validate_result(result: SLMSResult, loop: For) -> ValidationReport:
     replay whenever the loop has literal bounds and the result shape is
     replayable (``N208`` notes mark the skips).
     """
+    return _validate(result, loop, _structural_replay)
+
+
+def _validate(
+    result: SLMSResult,
+    loop: For,
+    replay: Callable[[SLMSResult, LoopInfo, DependenceGraph, DiagnosticBag, ValidationReport], None],
+) -> ValidationReport:
+    """:func:`validate_result` with ``replay`` as the layer-2 replay."""
     report = ValidationReport()
     bag = DiagnosticBag()
     if not result.applied:
@@ -617,7 +629,7 @@ def validate_result(result: SLMSResult, loop: For) -> ValidationReport:
     elif info.lo_const is None:
         structural_skip = "symbolic lower bound"
     if structural_skip is None:
-        _structural_replay(result, info, graph, bag, report)
+        replay(result, info, graph, bag, report)
     else:
         bag.note("N208", None, f"structural replay skipped: {structural_skip}")
 
@@ -632,17 +644,19 @@ def _structural_replay(
     bag: DiagnosticBag,
     report: ValidationReport,
 ) -> None:
-    mis = result.final_mis
-    trips = info.trip_count
-    lo = info.lo_const
-    assert trips is not None and lo is not None and result.ii is not None
-    capped = _Capped(bag)
+    """Layer 2: the row-template replay, or the tree replay when some
+    statement of the loop has no row template."""
+    if not _template_replay(result, info, graph, bag, report):
+        _tree_replay(result, info, graph, bag, report)
 
+
+def _renames(result: SLMSResult) -> Tuple[Set[str], Set[str], Dict[str, str]]:
+    """The legal rename scalars and arrays, and their provenance."""
     # Names introduced *after* the MIs were fixed (MVE rotations,
     # scalar-expansion arrays) are the only legal renames; anything the
     # MIs themselves mention must match verbatim.
     mentioned: Set[str] = set()
-    for mi in mis:
+    for mi in result.final_mis:
         mentioned |= collect_vars(mi)
         mentioned |= {node.name for node in walk(mi) if isinstance(node, ArrayRef)}
     rename_scalars = set(result.new_scalars) - mentioned
@@ -650,46 +664,55 @@ def _structural_replay(
     # Rename provenance (rotation name -> rotated scalar): lets unify
     # reject a rename of one scalar standing in for another.
     origins: Dict[str, str] = dict(getattr(result, "renames", {}) or {})
+    return rename_scalars, rename_arrays, origins
 
-    # ---- flatten ---------------------------------------------------------
-    events: List[Stmt] = []
+
+def _flatten_events(
+    result: SLMSResult,
+    info: LoopInfo,
+    bag: DiagnosticBag,
+    event: Callable[[Stmt, Dict[str, int]], object],
+) -> Optional[List]:
+    """The flattened events, or ``None`` after noting a bailout."""
+    events: List = []
     try:
-        _flatten(list(result.stmts), info.var, {}, events)
+        _flatten(list(result.stmts), info.var, {}, events, event)
     except _FlattenBailout as exc:
         bag.note("N208", None, f"structural replay skipped: {exc.reason}")
-        return
-    report.events = len(events)
-    report.structural = True
+        return None
+    return events
 
-    # ---- index every MI instance by canonical key -----------------------
-    # The memos live exactly as long as the trees they key (instances /
-    # events hold every root for the whole session), so id-keyed
-    # lookups are safe; instances share subtrees across iterations,
-    # which is where the memo pays off.
-    mi_memo: Dict[int, object] = {}
-    event_memo: Dict[int, object] = {}
-    instances: Dict[Tuple[int, int], Stmt] = {}
-    index: Dict[object, List[Tuple[int, int]]] = {}
-    for m, mi in enumerate(mis):
-        if info.var in collect_vars(mi):
-            for g in range(trips):
-                inst = substitute_expr(
-                    mi, info.var, IntLit(lo + g * info.step), reuse=True
-                )
-                instances[(m, g)] = inst  # type: ignore[assignment]
-                index.setdefault(_canon(inst, set(), mi_memo), []).append((m, g))
-        else:
-            inst = fold_constants(mi, reuse=True)
-            key = _canon(inst, set(), mi_memo)
-            for g in range(trips):
-                instances[(m, g)] = inst  # type: ignore[assignment]
-                index.setdefault(key, []).append((m, g))
 
-    # ---- match events, replaying the store as we go ---------------------
-    def_mi, exempt = _scalar_def_mis(mis)
+# A candidate MI instance for one event: (m, g, uses, defs), the
+# bindings resolved to locations.
+_Candidate = Tuple[int, int, List[Tuple[str, Location]], List[Tuple[str, Location]]]
 
-    def expected_tag(name: str, m: int, g: int) -> Tuple:
-        d = def_mi.get(name)
+
+class _Replay:
+    """Claiming, the symbolic store and the end-of-loop checks.
+
+    Both replays drive it with the same events and, for each event, the
+    same candidate instances in the same order (MI ascending, then
+    iteration ascending) with the same bindings.
+    """
+
+    def __init__(
+        self, mis: List[Stmt], info: LoopInfo, bag: DiagnosticBag, report: ValidationReport
+    ):
+        assert info.trip_count is not None
+        self.mis = mis
+        self.var = info.var
+        self.trips = info.trip_count
+        self.capped = _Capped(bag)
+        self.report = report
+        self.def_mi, self.exempt = _scalar_def_mis(mis)
+        self.store: Dict[Location, Tuple] = {}
+        self.claimed: Set[Tuple[int, int]] = set()
+        self.positions: Dict[Tuple[int, int], int] = {}
+        self.per_mi_iters: Dict[int, List[int]] = {m: [] for m in range(len(mis))}
+
+    def expected_tag(self, name: str, m: int, g: int) -> Tuple:
+        d = self.def_mi.get(name)
         if d is None:
             return ("init", name)
         # Uses at or before the defining MI read the previous iteration.
@@ -698,52 +721,39 @@ def _structural_replay(
             return ("init", name)
         return ("def", name, read_iter)
 
-    store: Dict[Location, Tuple] = {}
+    def read(self, loc: Location) -> Tuple:
+        return self.store.get(loc, ("init", loc[1] if loc[0] == "s" else loc))
 
-    def read(loc: Location) -> Tuple:
-        return store.get(loc, ("init", loc[1] if loc[0] == "s" else loc))
+    def checked(self, name: str, loc: Location) -> bool:
+        return name not in self.exempt and name != self.var and loc[0] != "a"
 
-    claimed: Set[Tuple[int, int]] = set()
-    positions: Dict[Tuple[int, int], int] = {}
-    per_mi_iters: Dict[int, List[int]] = {m: [] for m in range(len(mis))}
-
-    for pos, event in enumerate(events):
-        key = _canon(event, rename_arrays, event_memo)
+    def step(self, pos: int, candidates: Iterable[_Candidate], event: Stmt) -> None:
+        """Match event ``pos`` to one of its candidates, replaying the store."""
         # Structurally aliased instances are possible (``A[8] = s`` is
         # both MI3 of iteration 5 and MI4 of iteration 0 when the MIs
-        # store the same scalar at offsets 3 and 8), so collect every
-        # unifiable candidate and prefer one whose scalar uses agree
-        # with the replayed store; falling back to the first candidate
-        # preserves the old greedy behaviour when none is consistent.
-        candidates: List[Tuple[int, int, _Bindings]] = []
-        for m, g in index.get(key, ()):  # insertion order: (m asc, g asc)
-            if (m, g) in claimed:
-                continue
-            bindings = _Bindings()
-            if _unify(
-                instances[(m, g)],
-                event,
-                rename_scalars,
-                rename_arrays,
-                bindings,
-                origins=origins,
-            ):
-                candidates.append((m, g, bindings))
-        match: Optional[Tuple[int, int, _Bindings]] = None
-        for m, g, bindings in candidates:
+        # store the same scalar at offsets 3 and 8), so prefer the first
+        # candidate whose scalar uses agree with the replayed store;
+        # falling back to the first candidate preserves the old greedy
+        # behaviour when none is consistent.
+        first: Optional[_Candidate] = None
+        match: Optional[_Candidate] = None
+        for cand in candidates:
+            if first is None:
+                first = cand
+            m, g, uses, _ = cand
             if all(
-                read(loc) == expected_tag(name, m, g)
-                for name, loc in bindings.uses
-                if name not in exempt and name != info.var and loc[0] != "a"
+                self.read(loc) == self.expected_tag(name, m, g)
+                for name, loc in uses
+                if self.checked(name, loc)
             ):
-                match = (m, g, bindings)
+                match = cand
                 break
-        if match is None and candidates:
-            match = candidates[0]
+        if match is None:
+            match = first
         if match is None:
             copy = _is_pure_copy(event)
             if copy is None:
-                capped.error(
+                self.capped.error(
                     "V207",
                     f"emitted statement #{pos} matches no MI instance "
                     "and is not a bookkeeping copy",
@@ -752,86 +762,291 @@ def _structural_replay(
                 target, source = copy
                 src_loc = _event_location(source)  # type: ignore[arg-type]
                 if src_loc is None:
-                    store[target] = ("const",)
+                    self.store[target] = ("const",)
                 else:
-                    store[target] = read(src_loc)
-            continue
+                    self.store[target] = self.read(src_loc)
+            return
 
-        m, g, bindings = match
-        claimed.add((m, g))
-        positions[(m, g)] = pos
-        per_mi_iters[m].append(g)
-        report.matched += 1
-        for name, loc in bindings.uses:
-            if name in exempt or name == info.var or loc[0] == "a":
+        m, g, uses, defs = match
+        self.claimed.add((m, g))
+        self.positions[(m, g)] = pos
+        self.per_mi_iters[m].append(g)
+        self.report.matched += 1
+        for name, loc in uses:
+            if not self.checked(name, loc):
                 continue
-            want = expected_tag(name, m, g)
-            got = read(loc)
+            want = self.expected_tag(name, m, g)
+            got = self.read(loc)
             if got != want:
-                capped.error(
+                self.capped.error(
                     "V206",
                     f"MI{m} iteration {g} reads {name!r} from "
                     f"{loc}: holds {got}, expected {want}",
                 )
-        for name, loc in bindings.defs:
+        for name, loc in defs:
             if loc[0] == "a":
                 continue
-            store[loc] = ("def", name, g)
+            self.store[loc] = ("def", name, g)
 
-    # ---- iteration-space coverage ---------------------------------------
-    want_iters = list(range(trips))
-    for m, iters in per_mi_iters.items():
-        if sorted(iters) != want_iters:
-            missing = sorted(set(want_iters) - set(iters))
-            extra = sorted(set(iters) - set(want_iters))
-            dups = sorted({g for g in iters if iters.count(g) > 1})
-            detail = []
-            if missing:
-                detail.append(f"missing {missing[:6]}")
-            if extra:
-                detail.append(f"out-of-space {extra[:6]}")
-            if dups:
-                detail.append(f"duplicated {dups[:6]}")
-            capped.error(
-                "V204",
-                f"MI{m} covers {len(iters)} of {trips} iterations: "
-                + "; ".join(detail),
-            )
+    def finish(self, graph: DependenceGraph) -> None:
+        """Coverage (V204), flow serialization (V205) and live-outs (V206)."""
+        trips = self.trips
+        want_iters = list(range(trips))
+        for m, iters in self.per_mi_iters.items():
+            if sorted(iters) != want_iters:
+                missing = sorted(set(want_iters) - set(iters))
+                extra = sorted(set(iters) - set(want_iters))
+                dups = sorted({g for g in iters if iters.count(g) > 1})
+                detail = []
+                if missing:
+                    detail.append(f"missing {missing[:6]}")
+                if extra:
+                    detail.append(f"out-of-space {extra[:6]}")
+                if dups:
+                    detail.append(f"duplicated {dups[:6]}")
+                self.capped.error(
+                    "V204",
+                    f"MI{m} covers {len(iters)} of {trips} iterations: "
+                    + "; ".join(detail),
+                )
 
-    # ---- flow-dependence serialization -----------------------------------
-    # Only array-carried flow edges: a scalar flow edge's value may
-    # legally cross rows through an expansion copy (that is what MVE
-    # renaming is *for*), and the store replay above already pins every
-    # scalar read to the right iteration's definition.
-    array_names = {
-        node.name for mi in mis for node in walk(mi) if isinstance(node, ArrayRef)
-    }
-    for edge in graph.edges:
-        if edge.kind != "flow" or edge.var not in array_names:
+        # Only array-carried flow edges: a scalar flow edge's value may
+        # legally cross rows through an expansion copy (that is what MVE
+        # renaming is *for*), and the store replay above already pins every
+        # scalar read to the right iteration's definition.
+        array_names = {
+            node.name for mi in self.mis for node in walk(mi) if isinstance(node, ArrayRef)
+        }
+        for edge in graph.edges:
+            if edge.kind != "flow" or edge.var not in array_names:
+                continue
+            violated = 0
+            for g in range(trips - edge.distance):
+                a = self.positions.get((edge.src, g))
+                b = self.positions.get((edge.dst, g + edge.distance))
+                if a is not None and b is not None and a >= b:
+                    violated += 1
+            if violated:
+                self.capped.error(
+                    "V205",
+                    f"flow dependence on {edge.var!r} MI{edge.src} → "
+                    f"MI{edge.dst} <dist={edge.distance}> runs use before "
+                    f"def in {violated} iteration(s)",
+                )
+
+        for name in sorted(self.def_mi):
+            if name in self.exempt or name == self.var:
+                continue
+            got = self.read(("s", name))
+            want = ("def", name, trips - 1)
+            if got != want:
+                self.capped.error(
+                    "V206",
+                    f"live-out value of {name!r} is {got}, expected {want} "
+                    "(last iteration's definition)",
+                )
+
+
+def _tree_replay(
+    result: SLMSResult,
+    info: LoopInfo,
+    graph: DependenceGraph,
+    bag: DiagnosticBag,
+    report: ValidationReport,
+) -> None:
+    """The reference replay: every event and every MI instance is its
+    own folded tree, matched by canonical key and unification."""
+    mis = result.final_mis
+    trips = info.trip_count
+    lo = info.lo_const
+    var = info.var
+    assert trips is not None and lo is not None
+    rename_scalars, rename_arrays, origins = _renames(result)
+
+    def event(stmt: Stmt, env: Dict[str, int]) -> Node:
+        if var in env:
+            return substitute_expr(stmt, var, IntLit(env[var]))
+        return fold_constants(stmt)
+
+    events = _flatten_events(result, info, bag, event)
+    if events is None:
+        return
+    report.events = len(events)
+    report.structural = True
+    report.replay = "tree"
+
+    # ---- index every MI instance by canonical key -----------------------
+    instances: Dict[Tuple[int, int], Stmt] = {}
+    index: Dict[object, List[Tuple[int, int]]] = {}
+    for m, mi in enumerate(mis):
+        if var in collect_vars(mi):
+            for g in range(trips):
+                inst = substitute_expr(mi, var, IntLit(lo + g * info.step))
+                instances[(m, g)] = inst  # type: ignore[assignment]
+                index.setdefault(_canon(inst, set()), []).append((m, g))
+        else:
+            inst = fold_constants(mi)
+            key = _canon(inst, set())
+            for g in range(trips):
+                instances[(m, g)] = inst  # type: ignore[assignment]
+                index.setdefault(key, []).append((m, g))
+
+    replay = _Replay(mis, info, bag, report)
+    for pos, ev in enumerate(events):
+        key = _canon(ev, rename_arrays)
+        candidates: List[_Candidate] = []
+        for m, g in index.get(key, ()):  # insertion order: (m asc, g asc)
+            if (m, g) in replay.claimed:
+                continue
+            bindings = _Bindings()
+            if _unify(
+                instances[(m, g)], ev, rename_scalars, rename_arrays, bindings, origins=origins
+            ):
+                candidates.append((m, g, *bindings.located()))
+        replay.step(pos, candidates, ev)
+    replay.finish(graph)
+
+
+class _NoRowTemplate(Exception):
+    """An emitted statement has no row template."""
+
+
+class _RowTemplate:
+    """One statement compiled once per loop: its folded tree with an
+    :class:`~repro.lang.visitors.AffineLeaf` for every leaf that varies
+    with the loop variable, the tree's shape key, and its integer slots
+    (literals and affine leaves) in key order."""
+
+    __slots__ = ("tree", "shape", "slots", "leaves")
+
+    def __init__(self, tree: Node, wildcard_arrays: Set[str]):
+        self.tree = tree
+        self.slots: List[IntLit] = []
+        self.shape = _canon(tree, wildcard_arrays, self.slots)
+        # Leaves inside a wildcard array are in no slot but still locate it.
+        self.leaves = [n for n in walk(tree) if isinstance(n, AffineLeaf)]
+
+    def at(self, v: int) -> None:
+        """Make the tree read as the instance at loop-variable value ``v``."""
+        for leaf in self.leaves:
+            leaf.at(v)
+
+
+def _solve(lines: List[Tuple[int, int]], vals: Tuple[int, ...], trips: int) -> Iterable[int]:
+    """The iterations ``g`` (ascending) at which an MI whose slot ``j``
+    is worth ``A_j·g + B_j`` has exactly the slot values ``vals``."""
+    g: Optional[int] = None
+    for (a, b), val in zip(lines, vals):
+        if a == 0:
+            if val != b:
+                return ()
             continue
-        violated = 0
-        for g in range(trips - edge.distance):
-            a = positions.get((edge.src, g))
-            b = positions.get((edge.dst, g + edge.distance))
-            if a is not None and b is not None and a >= b:
-                violated += 1
-        if violated:
-            capped.error(
-                "V205",
-                f"flow dependence on {edge.var!r} MI{edge.src} → "
-                f"MI{edge.dst} <dist={edge.distance}> runs use before "
-                f"def in {violated} iteration(s)",
-            )
+        d = val - b
+        if d % a or (g is not None and g != d // a):
+            return ()
+        g = d // a
+    if g is None:
+        return range(trips)
+    return (g,) if 0 <= g < trips else ()
 
-    # ---- live-out consistency --------------------------------------------
-    for name in sorted(def_mi):
-        if name in exempt or name == info.var:
-            continue
-        got = read(("s", name))
-        want = ("def", name, trips - 1)
-        if got != want:
-            capped.error(
-                "V206",
-                f"live-out value of {name!r} is {got}, expected {want} "
-                "(last iteration's definition)",
+
+def _template_replay(
+    result: SLMSResult,
+    info: LoopInfo,
+    graph: DependenceGraph,
+    bag: DiagnosticBag,
+    report: ValidationReport,
+) -> bool:
+    """Layer 2 over row templates; ``False``, with nothing reported, when
+    a statement has no template and the tree replay must run instead.
+
+    Each MI and each emitted statement is compiled once.  An event is a
+    template plus the loop variable's value.  Its candidates are the MIs
+    of the same shape, each at the one iteration its affine slots solve
+    for (every iteration when no slot varies); a (statement, MI) pair is
+    unified once, and only the locations of its bindings are evaluated
+    per event.  What :class:`_Replay` does with them is unchanged.
+    """
+    mis = result.final_mis
+    trips = info.trip_count
+    lo = info.lo_const
+    var = info.var
+    assert trips is not None and lo is not None
+    rename_scalars, rename_arrays, origins = _renames(result)
+
+    mi_templates: List[_RowTemplate] = []
+    for mi in mis:
+        tree = substitution_template(mi, var)
+        if tree is None:
+            return False
+        mi_templates.append(_RowTemplate(tree, set()))
+    by_shape: Dict[object, List[int]] = {}
+    for m, tpl in enumerate(mi_templates):
+        by_shape.setdefault(tpl.shape, []).append(m)
+    # Slot j of MI m at iteration g is worth a·(lo + g·step) + b.
+    lines = [
+        [
+            (s.a * info.step, s.a * lo + s.b) if isinstance(s, AffineLeaf) else (0, s.value)
+            for s in tpl.slots
+        ]
+        for tpl in mi_templates
+    ]
+
+    templates: Dict[Tuple[int, bool], _RowTemplate] = {}
+
+    def event(stmt: Stmt, env: Dict[str, int]) -> Tuple[_RowTemplate, Optional[int]]:
+        key = (id(stmt), var in env)
+        tpl = templates.get(key)
+        if tpl is None:
+            tree = substitution_template(stmt, var if key[1] else None)
+            if tree is None:
+                raise _NoRowTemplate
+            tpl = templates[key] = _RowTemplate(tree, rename_arrays)
+        return tpl, env.get(var)
+
+    try:
+        events = _flatten_events(result, info, bag, event)
+    except _NoRowTemplate:
+        return False
+    if events is None:
+        return True
+    report.events = len(events)
+    report.structural = True
+    report.replay = "template"
+
+    replay = _Replay(mis, info, bag, report)
+    pairs: Dict[Tuple[_RowTemplate, int], Optional[_Bindings]] = {}
+
+    def unify_pair(tpl: _RowTemplate, m: int, g: int) -> Optional[_Bindings]:
+        """Unify statement ``tpl`` with MI ``m`` once per loop.  Equal
+        keys make the outcome independent of the slot values, so the
+        first candidate iteration ``g`` stands for all of them."""
+        if (tpl, m) not in pairs:
+            mi_templates[m].at(lo + g * info.step)
+            bindings = _Bindings()
+            ok = _unify(
+                mi_templates[m].tree, tpl.tree, rename_scalars, rename_arrays,
+                bindings, origins=origins,
             )
+            pairs[(tpl, m)] = bindings if ok else None
+        return pairs[(tpl, m)]
+
+    def candidates(tpl: _RowTemplate, vals: Tuple[int, ...]) -> Iterator[_Candidate]:
+        for m in by_shape.get(tpl.shape, ()):
+            located = None
+            for g in _solve(lines[m], vals, trips):
+                if (m, g) in replay.claimed:
+                    continue
+                if located is None:
+                    pair = unify_pair(tpl, m, g)
+                    if pair is None:
+                        break
+                    located = pair.located()
+                yield (m, g, *located)
+
+    for pos, (tpl, v) in enumerate(events):
+        if v is not None:  # else the template was built with no loop variable
+            tpl.at(v)
+        replay.step(pos, candidates(tpl, tuple(s.value for s in tpl.slots)), tpl.tree)
+    replay.finish(graph)
+    return True

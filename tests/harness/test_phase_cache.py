@@ -131,19 +131,18 @@ class TestSchema:
 
 
 class TestAsyncWrites:
-    """Entries are pickled synchronously but written by a background
-    thread: in-process visibility is immediate (memory overlay), and
-    cross-process visibility is guaranteed once ``drain`` returns."""
+    """``put`` pickles and writes each entry atomically before it
+    returns: another instance (or process) on the same directory sees
+    it at once, and no write can land after a ``clear``."""
 
     def test_put_is_immediately_visible_in_process(self, tmp_path):
         cache = PhaseCache(tmp_path)
         assert cache.put("transform", "k" * 64, {"x": 1})
         assert cache.get("transform", "k" * 64) == {"x": 1}
 
-    def test_drain_lands_entries_on_disk(self, tmp_path):
+    def test_put_lands_entries_on_disk(self, tmp_path):
         cache = PhaseCache(tmp_path)
         assert cache.put("compile", "a" * 64, [1, 2, 3])
-        cache.drain()
         # A fresh instance has no memory overlay: a hit proves the
         # file made it to disk.
         fresh = PhaseCache(tmp_path)
@@ -154,7 +153,6 @@ class TestAsyncWrites:
         value = {"metrics": [1, 2]}
         cache.put("simulate", "b" * 64, value)
         value["metrics"].append(3)  # caller reuses its object
-        cache.drain()
         fresh = PhaseCache(tmp_path)
         assert fresh.get("simulate", "b" * 64) == {"metrics": [1, 2]}
 

@@ -125,6 +125,59 @@ class TestPartitionMutations:
         )
 
 
+class TestReductionLanes:
+    """§5 lane splits: the lanes carry the reduction scalar's MI
+    definitions and the emitted combine redefines the scalar."""
+
+    # The find-max loop of benchmarks/test_ablations.py::test_reduction_lanes.
+    MAX_SRC = """
+float arr[512];
+float mx;
+for (i = 0; i < 500; i++)
+    if (mx < arr[i]) mx = arr[i];
+"""
+
+    def lane_result(self):
+        outcome = slms(
+            self.MAX_SRC,
+            SLMSOptions(force=True, reduction_lanes=2, verify=True),
+        )
+        result = outcome.loops[0]
+        assert result.applied and result.lanes == 2
+        loop = [
+            s for s in parse_program(self.MAX_SRC).body if isinstance(s, For)
+        ][0]
+        return result, loop
+
+    def test_lane_split_is_silent(self):
+        result, _ = self.lane_result()
+        assert result.lane_origins == {"mx0": "mx", "mx1": "mx"}
+        assert [d for d in result.diagnostics if d.code == "V210"] == []
+
+    def test_lane_without_mi_definition(self):
+        result, loop = self.lane_result()
+        result.lane_origins["mx2"] = "mx"
+        diags = check_result(result, loop)
+        assert codes(diags) == ["V210"]
+        assert any("'mx2'" in d.message for d in diags)
+
+    def test_missing_combine(self):
+        result, loop = self.lane_result()
+        result.stmts = result.stmts[:-1]  # drop `mx = max(mx0, mx1)`
+        diags = check_result(result, loop)
+        assert codes(diags) == ["V210"]
+        assert any("combines the lanes of 'mx'" in d.message for d in diags)
+
+    def test_lost_provenance_is_still_caught(self):
+        result, loop = self.lane_result()
+        result.lane_origins = {}
+        diags = check_result(result, loop)
+        assert any(
+            d.code == "V210" and "'mx' is defined by the loop body" in d.message
+            for d in diags
+        )
+
+
 class TestKernelMutations:
     def test_deleted_prologue_defs_caught(self):
         """Strip every definition of the introduced scalars: the first
@@ -156,6 +209,7 @@ class TestKernelMutations:
                    for d in diags)
 
     def test_lane_split_results_are_skipped(self):
+        """check_kernel skips lane splits; V210 still judges them."""
         result, loop = applied_result()
         result.lanes = 2
         result.stmts = []  # would be a V211 storm if scanned
